@@ -99,7 +99,10 @@ final class StatsEstimator(val catalog: Catalog) extends Estimator {
 final class PerfectNEstimator(n: Int, truth: TrueCardinality, stats: StatsEstimator)
     extends Estimator {
 
-  private val memo = mutable.HashMap.empty[(String, Long), Double]
+  /** One memo per graph instance: contractions of one query keep its name and
+    * may have equal relation counts, but their masks mean different subsets.
+    */
+  private val memos = new java.util.IdentityHashMap[JoinGraph, mutable.HashMap[Long, Double]]()
 
   private def baseRows(g: JoinGraph, i: Int): Double =
     if (n >= 1) truth.card(g.rels(i).origMask).toDouble
@@ -108,7 +111,7 @@ final class PerfectNEstimator(n: Int, truth: TrueCardinality, stats: StatsEstima
   override def cardinality(g: JoinGraph, mask: Long): Double = {
     val orig = g.origUnion(mask)
     if (java.lang.Long.bitCount(orig) <= n) truth.card(orig).toDouble
-    else memo.getOrElseUpdate((s"${g.name}#${g.nRels}", mask), {
+    else memos.computeIfAbsent(g, _ => mutable.HashMap.empty).getOrElseUpdate(mask, {
       if (java.lang.Long.bitCount(mask) == 1)
         baseRows(g, java.lang.Long.numberOfTrailingZeros(mask))
       else {

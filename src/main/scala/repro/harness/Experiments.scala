@@ -56,21 +56,20 @@ final case class QueryRun(
 
 object Experiments {
 
+  /** The re-optimization trigger τ: the paper's default and its best (Fig 7). */
+  val Tau: Double = 32.0
+
   /** The paper's bucket boundaries for Tables II and VI. */
   val bucketLabels: Vector[String] = Vector("0.1 - 0.8", "0.8 - 1.2", "1.2 - 2.0", "2.0 - 5.0", "> 5.0")
 
-  def bucket(ratio: Double): String =
-    if (ratio < 0.8) "0.1 - 0.8"
-    else if (ratio < 1.2) "0.8 - 1.2"
-    else if (ratio < 2.0) "1.2 - 2.0"
-    else if (ratio <= 5.0) "2.0 - 5.0"
-    else "> 5.0"
+  def bucket(ratio: Double): String = bucketLabels(
+    if (ratio < 0.8) 0 else if (ratio < 1.2) 1 else if (ratio < 2.0) 2 else if (ratio <= 5.0) 3 else 4)
 
   def bucketCounts(ratios: Seq[Double]): Map[String, Int] =
     bucketLabels.map(l => l -> ratios.count(r => bucket(r) == l)).toMap
 
   /** Run the three headline configurations for one query. */
-  def runQuery(wb: Workbench, q: QuerySpec, threshold: Double = 32.0): QueryRun = {
+  def runQuery(wb: Workbench, q: QuerySpec, threshold: Double): QueryRun = {
     val ctx = new QueryCtx(wb, q)
     val statsRes = ctx.planner.plan(ctx.graph, ctx.statsEstimator())
     val pgMs     = SimExecutor.toMillis(ctx.sim.executionWork(ctx.graph, ctx.truth, statsRes.plan))
@@ -84,55 +83,24 @@ object Experiments {
     )
   }
 
-  def runAll(wb: Workbench, queries: Seq[QuerySpec], threshold: Double = 32.0,
-             verbose: Boolean = false): Vector[QueryRun] =
-    queries.iterator.map { q =>
-      val r = runQuery(wb, q, threshold)
-      if (verbose)
-        Console.err.println(f"[exp] ${r.name}%-6s pg=${r.pgMs}%10.1f perfect=${r.perfectMs}%10.1f reopt=${r.reoptMs}%10.1f steps=${r.reoptSteps}")
-      r
-    }.toVector
-
-  /** Total simulated execution time under perfect-(n), for the Fig 2 sweep,
-    * optionally with re-optimization on top (Fig 8). One oracle per query,
-    * shared across all n.
+  /** Each sweep point's results over `queries`, in query order, with one
+    * oracle per query shared by all points (Figs 2, 7 and 8).
     */
-  def perfectNSweep(wb: Workbench, queries: Seq[QuerySpec], ns: Seq[Int],
-                    withReopt: Boolean = false, threshold: Double = 32.0,
-                    verbose: Boolean = false): Map[Int, Double] = {
-    val totals = scala.collection.mutable.Map.empty[Int, Double].withDefaultValue(0.0)
-    for (q <- queries) {
+  def sweep[K, R](wb: Workbench, queries: Seq[QuerySpec], points: Seq[K], verbose: Boolean = false)
+                 (run: (QueryCtx, K) => R): Map[K, Vector[R]] = {
+    val perQuery = queries.map { q =>
       val ctx = new QueryCtx(wb, q)
-      for (n <- ns) {
-        totals(n) +=
-          (if (withReopt) ctx.simReopt(threshold, cat => ctx.perfectN(n, cat)).execMs
-           else ctx.simRun(ctx.perfectN(n))._1)
-      }
+      val rs  = points.map(run(ctx, _))
       if (verbose) Console.err.println(s"[sweep] ${q.name} done")
+      rs
     }
-    totals.toMap
-  }
-
-  /** Total (execMs, planMs) at each re-optimization threshold (Fig 7). */
-  def thresholdSweep(wb: Workbench, queries: Seq[QuerySpec],
-                     taus: Seq[Double]): Map[Double, (Double, Double)] = {
-    val totals = scala.collection.mutable.Map.empty[Double, (Double, Double)]
-      .withDefaultValue((0.0, 0.0))
-    for (q <- queries) {
-      val ctx = new QueryCtx(wb, q)
-      for (tau <- taus) {
-        val r = ctx.simReopt(tau, cat => ctx.statsEstimator(cat))
-        val (e, p) = totals(tau)
-        totals(tau) = (e + r.execMs, p + r.planMs)
-      }
-    }
-    totals.toMap
+    points.indices.map(i => points(i) -> perQuery.map(_(i)).toVector).toMap
   }
 
   /** Real Spark wall-clock for one query's three configurations:
-    * (pgMs, perfectMs, reoptExecMs, reoptSteps). Used by the top-20 bench.
+    * (pgMs, perfectMs, reoptExecMs, reoptSteps). Used by Fig 1.
     */
-  def realRun(wb: Workbench, q: QuerySpec, threshold: Double = 32.0): (Double, Double, Double, Int) = {
+  def realRun(wb: Workbench, q: QuerySpec): (Double, Double, Double, Int) = {
     val ctx  = new QueryCtx(wb, q)
     val exec = new SparkExecutor(wb.spark, wb.db)
     val pgPlan   = ctx.planner.plan(ctx.graph, ctx.statsEstimator()).plan
@@ -140,9 +108,10 @@ object Experiments {
     val pgMs     = exec.run(ctx.graph, pgPlan)._2
     val perfMs   = exec.run(ctx.graph, perfPlan)._2
     val backend  = new SparkBackend(wb.spark, wb.db, ctx.truth)
-    val re = new Reoptimizer(wb.cost, wb.catalog)
-      .run(ctx.graph, ctx.truth, cat => ctx.statsEstimator(cat), backend, threshold)
-    backend.cleanup()
+    val re =
+      try new Reoptimizer(wb.cost, wb.catalog)
+        .run(ctx.graph, ctx.truth, cat => ctx.statsEstimator(cat), backend, Tau)
+      finally backend.cleanup()
     (pgMs, perfMs, re.execMs, re.replans)
   }
 }

@@ -82,7 +82,6 @@ object JobLite {
 
   // ---- filter shorthands -------------------------------------------------
   private def eqp(c: String, v: Long)            = EqPred(c, v)
-  private def inp(c: String, vs: Long*)          = InPred(c, vs)
   private def rng(c: String, lo: Long, hi: Long) = RangePred(c, lo, hi)
 
   private val tY1 = rng("production_year", 2000, 2019)

@@ -1,6 +1,7 @@
 package repro.core.ce
 
 import repro.{SparkSpec, TestData}
+import repro.core.reopt.Reoptimizer
 import repro.core.truth.TrueCardinality
 import repro.workload.JobLite
 
@@ -95,6 +96,24 @@ class EstimatorsSpec extends SparkSpec {
     assert(qerrs.head >= qerrs.last)
     // n = size-1 should be no worse than n = 1 on the full join
     assert(qerrs(q.size - 1) <= qerrs(1) * 1.001, qerrs.toString)
+  }
+
+  test("perfect-(n) keeps apart contractions of one query with equal relation counts (q06a)") {
+    val q = JobLite.byName("q06a")
+    val g = wb.graph(q)
+    val t = new TrueCardinality(g, wb.local)
+    val pairs = (1L until (1L << g.nRels)).filter(m => java.lang.Long.bitCount(m) == 2 && g.connected(m))
+    val subs  = Seq(pairs.head -> "tmp_a", pairs.last -> "tmp_b")
+    val cat   = subs.foldLeft(wb.catalog) { case (c, (m, name)) =>
+      c.withTable(name, Reoptimizer.tempStats(g, t, m)) }
+    val stats = new StatsEstimator(cat)
+    val Seq(ga, gb) = subs.map { case (m, name) => g.contract(m, name) }
+    assert(ga.name == gb.name && ga.nRels == gb.nRels)
+    // each contraction's own value, from an estimator that has seen only it
+    val want = Seq(ga, gb).map(h => new PerfectNEstimator(1, t, stats).cardinality(h, h.fullMask))
+    assert(want(0) != want(1), s"the two contractions must estimate differently: $want")
+    val shared = new PerfectNEstimator(1, t, stats)
+    assert(Seq(ga, gb).map(h => shared.cardinality(h, h.fullMask)) == want)
   }
 
   test("perfect-(0) equals StatsEstimator everywhere (q02a)") {

@@ -1,5 +1,6 @@
 package repro.core.reopt
 
+import scala.annotation.tailrec
 import scala.collection.mutable
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
@@ -49,7 +50,7 @@ final class SparkBackend(
   /** Row count returned by the most recent final-plan execution. */
   var lastCount: Long = -1L
 
-  private def executor = new SparkExecutor(spark, db)
+  private val executor = new SparkExecutor(spark, db)
 
   override def run(g: JoinGraph, plan: Plan): Double = {
     val (n, ms) = executor.run(g, plan)
@@ -75,7 +76,7 @@ final class SparkBackend(
   *     one whose Q-error — true vs estimated cardinality — exceeds the
   *     threshold τ (the paper's trigger, §V-A; true cardinalities are what
   *     EXPLAIN ANALYZE reported in the paper's simulation);
-  *  3. if none (or the offender is the whole query): execute and stop;
+  *  3. if no join below the root exceeds τ: execute and stop;
   *  4. otherwise materialize that sub-join as a temporary table, contract the
   *     join graph around it, inject the temporary's *exact* statistics into
   *     the catalog, and re-plan the remainder. Repeat.
@@ -95,68 +96,42 @@ final class Reoptimizer(cost: CostModel, baseCatalog: Catalog) {
       finalGraph: JoinGraph,
   ) { def replans: Int = steps.size }
 
-  /** Run with re-optimization.
+  /** Run with re-optimization. Each step contracts at least two relations
+    * into one, so a query of n relations is re-planned at most n − 2 times.
     *
     * @param g0 original query graph
     * @param truth oracle on `g0`
     * @param mkEstimator estimator factory given the (temp-augmented) catalog
     * @param backend execution backend
-    * @param threshold Q-error trigger τ (paper default 32)
+    * @param threshold Q-error trigger τ
     */
   def run(
       g0: JoinGraph,
       truth: TrueCardinality,
       mkEstimator: Catalog => Estimator,
       backend: ExecBackend,
-      threshold: Double = 32.0,
-      maxSteps: Int = 20,
+      threshold: Double,
   ): Result = {
-    var g       = g0
-    var catalog = baseCatalog
-    var execMs  = 0.0
-    var planNs  = 0L
-    val steps   = Vector.newBuilder[Step]
-    var nSteps  = 0
-
-    while (true) {
-      val planner = new DPPlanner(cost, catalog)
-      val est     = mkEstimator(catalog)
-      val res     = planner.plan(g, est)
-      planNs += res.planningNanos
-
-      val offender =
-        if (nSteps >= maxSteps) None
-        else res.plan.joinsBottomUp.find { j =>
-          val t = truth.card(g.origUnion(j.mask)).toDouble
-          QError(t, j.estRows) > threshold && j.mask != g.fullMask
-        }
-
+    @tailrec def loop(g: JoinGraph, catalog: Catalog, execMs: Double, planNs: Long, steps: Vector[Step]): Result = {
+      val res     = new DPPlanner(cost, catalog).plan(g, mkEstimator(catalog))
+      val planned = planNs + res.planningNanos
+      // the lowest join (other than the whole query) whose Q-error exceeds τ
+      val offender = res.plan.joinsBottomUp.iterator
+        .filter(_.mask != g.fullMask)
+        .map(j => (j, QError(truth.card(g.origUnion(j.mask)).toDouble, j.estRows)))
+        .find(_._2 > threshold)
       offender match {
         case None =>
-          execMs += backend.run(g, res.plan)
-          return Result(execMs, planNs / 1e6, steps.result(), res.plan, g)
-        case Some(j) =>
-          val tempName   = s"${g0.name}_tmp$nSteps"
-          val (ms, ts)   = backend.materialize(g, subPlan(res.plan, j.mask), tempName)
-          execMs += ms
-          catalog = catalog.withTable(tempName, ts)
-          steps += Step(g0.name, tempName, g.origUnion(j.mask), ts.rowCount, QError(truth.card(g.origUnion(j.mask)).toDouble, j.estRows))
-          g = g.contract(j.mask, tempName)
-          nSteps += 1
+          Result(execMs + backend.run(g, res.plan), planned / 1e6, steps, res.plan, g)
+        case Some((j, qerror)) =>
+          val tempName = s"${g0.name}_tmp${steps.size}"
+          val (ms, ts) = backend.materialize(g, j, tempName)
+          loop(g.contract(j.mask, tempName), catalog.withTable(tempName, ts), execMs + ms, planned,
+            steps :+ Step(g0.name, tempName, g.origUnion(j.mask), ts.rowCount, qerror))
       }
     }
-    throw new IllegalStateException("unreachable")
+    loop(g0, baseCatalog, 0.0, 0L, Vector.empty)
   }
-
-  /** Find the sub-plan rooted at `mask` inside `plan`. */
-  private def subPlan(plan: Plan, mask: Long): Plan =
-    if (plan.mask == mask) plan
-    else plan match {
-      case j: repro.core.opt.JoinPlan =>
-        if ((j.left.mask & mask) == mask) subPlan(j.left, mask)
-        else subPlan(j.right, mask)
-      case _ => throw new IllegalStateException(s"sub-plan $mask not found")
-    }
 }
 
 object Reoptimizer {

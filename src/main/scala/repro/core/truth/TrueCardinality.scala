@@ -1,5 +1,6 @@
 package repro.core.truth
 
+import scala.annotation.tailrec
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
@@ -18,7 +19,9 @@ import repro.core.opt.JoinGraph
   * `frontier-values -> row multiplicity`, where the frontier is only the set
   * of join equivalence classes connecting the prefix to the *remaining
   * relations of S* (classes dangling to relations outside S are irrelevant
-  * for the count and are marginalized away immediately). The chain order
+  * for the count and are marginalized away immediately). Class sets are
+  * bitmasks over positions in `graph.classes`; after a prefix P of S the
+  * frontier is `touching(P) & touching(S \ P)`. The chain order
   * greedily absorbs relations that close open classes (dimensions right
   * after their fact), so frontiers stay near-singleton (`movie_id`-sized)
   * even for subsets whose join result has billions of rows — which is what
@@ -51,11 +54,30 @@ final class TrueCardinality(val graph: JoinGraph, db: LocalDB) {
     buf.result()
   }
 
-  /** classes (by position in graph.classes) touching relation i. */
-  private val relClasses: Vector[Vector[Int]] =
-    Vector.tabulate(graph.nRels) { i =>
-      graph.classes.zipWithIndex.collect { case (c, ci) if (c.relMask & (1L << i)) != 0 => ci }
-    }
+  require(graph.classes.size <= 64, "at most 64 join classes")
+
+  /** Set of classes (bit ci = graph.classes(ci)) touching relation i. */
+  private val relClasses: Array[Long] = {
+    val a = new Array[Long](graph.nRels)
+    for ((c, ci) <- graph.classes.zipWithIndex; (i, _) <- c.members) a(i) |= 1L << ci
+    a
+  }
+
+  /** Ascending positions of the set bits of `m`. */
+  private def bits(m: Long): Vector[Int] =
+    Vector.unfold(m)(r => if (r == 0) None else Some((java.lang.Long.numberOfTrailingZeros(r), r & (r - 1))))
+
+  /** Classes touching some relation of `rels`. */
+  private def touching(rels: Long): Long = {
+    var m = rels; var s = 0L
+    while (m != 0) { s |= relClasses(java.lang.Long.numberOfTrailingZeros(m)); m &= m - 1 }
+    s
+  }
+
+  /** Classes open after absorbing `prefix` of `mask`: those joining the
+    * prefix to the rest of `mask`. Such a class has ≥ 2 members in `mask`.
+    */
+  private def cut(mask: Long, prefix: Long): Long = touching(prefix) & touching(mask & ~prefix)
 
   /** column of class ci on relation i. */
   private def classCol(ci: Int, i: Int): String =
@@ -63,65 +85,34 @@ final class TrueCardinality(val graph: JoinGraph, db: LocalDB) {
 
   /** Greedy elimination order for the relations of `mask`: start at the most
     * selective relation; repeatedly append the adjacent relation that leaves
-    * the fewest open frontier classes (ties: fewer filtered rows). Relations
-    * count as adjacent via classes with ≥ 2 members inside `mask`.
+    * the fewest open classes (ties: fewer filtered rows, then lower index).
     */
   private def chainOrder(mask: Long): Vector[Int] = {
-    val rels = (0 until graph.nRels).filter(i => (mask & (1L << i)) != 0).toVector
-    if (rels.size == 1) return rels
-    // classes internal to mask: >=2 members inside
-    val internal: Vector[Int] = graph.classes.indices.toVector.filter { ci =>
-      java.lang.Long.bitCount(graph.classes(ci).relMask & mask) >= 2
-    }
-    val classMaskIn: Map[Int, Long] = internal.map(ci => ci -> (graph.classes(ci).relMask & mask)).toMap
-
-    def frontierSize(prefix: Long): Int =
-      internal.count { ci =>
-        val cm = classMaskIn(ci)
-        (cm & prefix) != 0 && (cm & mask & ~prefix) != 0
+    @tailrec def grow(order: Vector[Int], prefix: Long): Vector[Int] = {
+      val cands = graph.neighbors(prefix) & mask
+      if (cands == 0) {
+        require(prefix == mask, s"mask $mask not connected at prefix $prefix")
+        order
+      } else {
+        val next = bits(cands).minBy(i =>
+          (java.lang.Long.bitCount(cut(mask, prefix | (1L << i))), filtered(i).length, i))
+        grow(order :+ next, prefix | (1L << next))
       }
-
-    val start = rels.minBy(i => filtered(i).length)
-    val order = mutable.ArrayBuffer(start)
-    var prefix = 1L << start
-    while (order.size < rels.size) {
-      val cands = rels.filter { i =>
-        (prefix & (1L << i)) == 0 &&
-        relClasses(i).exists(ci => classMaskIn.contains(ci) && (classMaskIn(ci) & prefix) != 0)
-      }
-      require(cands.nonEmpty, s"mask $mask not connected at prefix $prefix")
-      val next = cands.minBy(i => (frontierSize(prefix | (1L << i)), filtered(i).length, i))
-      order += next
-      prefix |= 1L << next
     }
-    order.toVector
+    val start = bits(mask).minBy(i => filtered(i).length)
+    grow(Vector(start), 1L << start)
   }
 
-  /** Eliminate `mask` along the greedy chain. If `keepClass >= 0` (a class
-    * index into graph.classes), that class's value is retained in the
-    * frontier throughout; the result map is then keyed by it.
-    * Returns the final map (empty-key single entry when keepClass < 0).
+  /** Eliminate `mask` along the greedy chain. The classes of `keep` are
+    * retained in the frontier from the step that first touches them on; the
+    * result map is then keyed by their values (one empty key when `keep` is 0).
     */
-  private def eliminate(mask: Long, keepClass: Int): mutable.HashMap[Key, Long] = {
+  private def eliminate(mask: Long, keep: Long): mutable.HashMap[Key, Long] = {
     require(mask != 0, "empty mask")
     val order = chainOrder(mask)
-    val internal: Set[Int] = graph.classes.indices.filter { ci =>
-      java.lang.Long.bitCount(graph.classes(ci).relMask & mask) >= 2
-    }.toSet
 
-    /** frontier classes after absorbing `prefix`: internal classes spanning
-      * the cut, plus keepClass once touched.
-      */
-    def frontier(prefix: Long): Vector[Int] = {
-      val cut = graph.classes.indices.filter { ci =>
-        internal(ci) && (graph.classes(ci).relMask & prefix) != 0 &&
-        (graph.classes(ci).relMask & mask & ~prefix) != 0
-      }
-      val keep =
-        if (keepClass >= 0 && (graph.classes(keepClass).relMask & prefix) != 0) Vector(keepClass)
-        else Vector.empty
-      (cut ++ keep).distinct.sorted.toVector
-    }
+    /** frontier classes after absorbing `prefix`, by ascending position. */
+    def frontier(prefix: Long): Vector[Int] = bits(cut(mask, prefix) | (keep & touching(prefix)))
 
     var prefix  = 1L << order.head
     var keyCls  = frontier(prefix)
@@ -141,16 +132,13 @@ final class TrueCardinality(val graph: JoinGraph, db: LocalDB) {
       val newPrefix = prefix | (1L << i)
       val newKeyCls = frontier(newPrefix)
       val t = db(graph.rels(i).table)
-      // classes joining r to the prefix: internal, touched by both
-      val joinCls = relClasses(i).filter(ci =>
-        internal(ci) && (graph.classes(ci).relMask & prefix) != 0 && keyCls.contains(ci))
-      // sanity: all prefix-side join classes must be on the frontier
+      // classes joining r to the prefix; all are open, so on the frontier
+      val joinCls      = bits(relClasses(i) & touching(prefix))
       val joinPosInKey = joinCls.map(keyCls.indexOf)
-      require(joinPosInKey.forall(_ >= 0), s"join class missing from frontier for rel $i")
       // output key composition: from current (classes already in keyCls) or from r
       val outFromCur = newKeyCls.map(keyCls.indexOf)
       val rCols      = newKeyCls.map { ci =>
-        if (relClasses(i).contains(ci)) t.col(classCol(ci, i)) else null
+        if ((relClasses(i) & (1L << ci)) != 0) t.col(classCol(ci, i)) else null
       }
       val joinColsR = joinCls.map(ci => t.col(classCol(ci, i)))
       // group r's filtered rows by (join key, contributed output parts)
@@ -191,7 +179,7 @@ final class TrueCardinality(val graph: JoinGraph, db: LocalDB) {
   /** Exact |⋈ S| (with all base filters applied) for connected subset S. */
   def card(mask: Long): Long = cardCache.getOrElseUpdate(mask, {
     require(graph.connected(mask), s"not a connected subset: $mask")
-    eliminate(mask, keepClass = -1).valuesIterator.sum
+    eliminate(mask, keep = 0L).valuesIterator.sum
   })
 
   /** Exact number of distinct values of class `origId` (which must touch S)
@@ -202,8 +190,8 @@ final class TrueCardinality(val graph: JoinGraph, db: LocalDB) {
     val ci = graph.classes.indexWhere(_.origId == origId)
     require(ci >= 0 && (graph.classes(ci).relMask & mask) != 0,
       s"class $origId does not touch mask $mask")
-    val m = eliminate(mask, keepClass = ci)
-    // final key is exactly (keepClass); count distinct values with rows
+    val m = eliminate(mask, keep = 1L << ci)
+    // final key is exactly (class ci); count distinct values with rows
     m.count(_._2 > 0).toLong
   })
 

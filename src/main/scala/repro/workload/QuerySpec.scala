@@ -44,8 +44,6 @@ final case class Relation(alias: String, table: String)
   */
 final case class JoinClass(members: Vector[(Int, String)]) {
   require(members.size >= 2, s"join class needs >=2 members: $members")
-  def relMask: Long = members.foldLeft(0L)((m, x) => m | (1L << x._1))
-  def touches(relIdx: Int): Boolean = members.exists(_._1 == relIdx)
 }
 
 /** A select-project-join query over the IMDB-lite schema: conjunctive
@@ -91,15 +89,4 @@ final case class QuerySpec(
     */
   def countSql(castBigint: Boolean = false): String =
     s"SELECT COUNT(*) AS cnt\nFROM $fromClause\nWHERE ${whereClause(castBigint)}"
-
-  /** Like [[countSql]] but additionally returns MIN of one join-class column
-    * per class — a stronger result-equivalence check for executor tests.
-    */
-  def checksumSql(castBigint: Boolean = false): String = {
-    val mins = classes.zipWithIndex.map { case (c, i) =>
-      val (r, col) = c.members.head
-      s"MIN(${ref(r, col, castBigint)}) AS min_c$i"
-    }
-    s"SELECT COUNT(*) AS cnt, ${mins.mkString(", ")}\nFROM $fromClause\nWHERE ${whereClause(castBigint)}"
-  }
 }

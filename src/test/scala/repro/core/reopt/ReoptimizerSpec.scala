@@ -77,9 +77,9 @@ class ReoptimizerSpec extends SparkSpec {
   test("real backend: re-optimized query returns the exact result count") {
     val (_, g, t) = ctx("q06a")
     val backend = new SparkBackend(spark, wb.db, t)
-    val r = new Reoptimizer(wb.cost, wb.catalog)
-      .run(g, t, cat => new StatsEstimator(cat), backend, threshold = 2.0)
-    backend.cleanup()
+    val r =
+      try new Reoptimizer(wb.cost, wb.catalog).run(g, t, cat => new StatsEstimator(cat), backend, threshold = 2.0)
+      finally backend.cleanup()
     assert(r.execMs > 0)
     assert(backend.lastCount == t.card(g.fullMask),
       s"re-optimized count ${backend.lastCount} != true ${t.card(g.fullMask)}")
@@ -97,20 +97,22 @@ class ReoptimizerSpec extends SparkSpec {
     val rSim = new Reoptimizer(wb.cost, wb.catalog)
       .run(g, t, cat => new StatsEstimator(cat), sim, threshold = 8.0)
     val backend = new SparkBackend(spark, wb.db, t)
-    val rReal = new Reoptimizer(wb.cost, wb.catalog)
-      .run(g, t, cat => new StatsEstimator(cat), backend, threshold = 8.0)
-    backend.cleanup()
+    val rReal =
+      try new Reoptimizer(wb.cost, wb.catalog).run(g, t, cat => new StatsEstimator(cat), backend, threshold = 8.0)
+      finally backend.cleanup()
     assert(rSim.steps.map(_.origMask) == rReal.steps.map(_.origMask))
     assert(rSim.steps.map(_.rows) == rReal.steps.map(_.rows))
   }
 
-  test("maxSteps caps the loop") {
+  test("q26a at tau 1.0001 re-plans at most nRels - 2 times") {
+    // every step contracts at least two relations into one, and the root
+    // join never triggers, so the loop ends with at least two relations
     val (_, g, t) = ctx("q26a")
     val sim = new SimExecutor(wb.cost, wb.catalog)
     val r = new Reoptimizer(wb.cost, wb.catalog)
-      .run(g, t, cat => new StatsEstimator(cat), new SimBackend(sim, t),
-           threshold = 1.0001, maxSteps = 2)
-    assert(r.replans <= 2)
+      .run(g, t, cat => new StatsEstimator(cat), new SimBackend(sim, t), threshold = 1.0001)
+    assert(r.replans <= g.nRels - 2)
+    assert(r.finalGraph.nRels >= 2)
   }
 
   test("temp stats are exact (rows and interface ndv)") {

@@ -1,16 +1,19 @@
 package repro.core.truth
 
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Test.{check => scCheck, Parameters}
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.{SparkSpec, TestData}
 import repro.core.data.{LocalDB, LocalTable}
 import repro.core.opt.{GraphClass, GraphRel, JoinGraph}
-import repro.workload.{EqPred, JobLite, RangePred}
+import repro.workload.{EqPred, JobLite, Pred, RangePred}
 
 /** The oracle must be *exact*: cross-checked against a brute-force nested
   * loop join on toy data and against Spark SQL on the real workload.
   */
 class TrueCardinalityToySpec extends AnyFunSuite {
+  import TrueCardinalityToySpec.Shape
 
   // toy star: f(k1, k2) ⋈ d1(id) ⋈ d2(id)
   private val db = LocalDB(Map(
@@ -111,6 +114,74 @@ class TrueCardinalityToySpec extends AnyFunSuite {
     val again = first.keys.map(m => m -> t.card(m)).toMap
     assert(first == again)
   }
+
+  private val shapes = Vector(
+    "star" -> Shape(Vector(Vector("a", "b", "c"), Vector("id"), Vector("id"), Vector("id")),
+      Vector(Vector((0, "a"), (1, "id")), Vector((0, "b"), (2, "id")), Vector((0, "c"), (3, "id")))),
+    "chain" -> Shape(Vector(Vector("x"), Vector("x", "y"), Vector("y", "z"), Vector("z")),
+      Vector(Vector((0, "x"), (1, "x")), Vector((1, "y"), (2, "y")), Vector((2, "z"), (3, "z")))),
+    // the movie_id clique: t.id = ci.movie_id = mk.movie_id, plus ci.person_id = p.id
+    "3-member class" -> Shape(Vector(Vector("id"), Vector("mid", "pid"), Vector("mid"), Vector("id")),
+      Vector(Vector((0, "id"), (1, "mid"), (2, "mid")), Vector((1, "pid"), (3, "id")))),
+  )
+
+  /** Random tiny tables (0–5 rows, values 0–3, plus a filter column `v`)
+    * and an optional range filter on `v` per relation.
+    */
+  private def genCase(shape: Shape): Gen[(JoinGraph, LocalDB)] = {
+    type Rel = (LocalTable, Vector[Pred])
+    def genRel(i: Int): Gen[Rel] = for {
+      n    <- Gen.choose(0, 5)
+      data <- Gen.listOfN(shape.cols(i).size + 1, Gen.listOfN(n, Gen.choose(0L, 3L)))
+      pred <- Gen.option(for { lo <- Gen.choose(0L, 3L); hi <- Gen.choose(lo, 3L) } yield RangePred("v", lo, hi))
+    } yield {
+      val names = shape.cols(i) :+ "v"
+      (LocalTable(s"t$i", names, names.zip(data.map(_.toArray)).toMap), pred.toVector)
+    }
+    Gen.sequence[Vector[Rel], Rel](shape.cols.indices.map(genRel)).map { rels =>
+      val g = JoinGraph("prop",
+        rels.zipWithIndex.map { case ((t, preds), i) => GraphRel(s"r$i", t.name, preds, 1L << i) },
+        shape.classes.zipWithIndex.map { case (ms, ci) => GraphClass(ci, ms) })
+      (g, LocalDB(rels.map { case (t, _) => t.name -> t }.toMap))
+    }
+  }
+
+  /** Nested-loop join of `mask`: one map relation -> row per result row. */
+  private def nestedLoop(g: JoinGraph, db: LocalDB, mask: Long): Seq[Map[Int, Int]] = {
+    def value(row: Map[Int, Int], m: (Int, String)) = db(g.rels(m._1).table).col(m._2)(row(m._1))
+    val rels = (0 until g.nRels).filter(i => (mask & (1L << i)) != 0)
+    val rows = rels.foldLeft(Seq(Map.empty[Int, Int])) { (acc, i) =>
+      val t = db(g.rels(i).table)
+      val passing = (0 until t.rowCount).filter(r => g.rels(i).preds.forall(p => p.eval(t.col(p.column)(r))))
+      for (row <- acc; r <- passing) yield row + (i -> r)
+    }
+    rows.filter(row => g.classes.forall { c =>
+      c.members.filter(m => row.contains(m._1)).map(value(row, _)).distinct.size <= 1
+    })
+  }
+
+  for ((name, shape) <- shapes) {
+    test(s"$name: card and classNdv equal a nested-loop join on random data") {
+      val prop = Prop.forAll(genCase(shape)) { case (g, db) =>
+        val t = new TrueCardinality(g, db)
+        (1L to g.fullMask).filter(g.connected).forall { mask =>
+          val rows = nestedLoop(g, db, mask)
+          t.card(mask) == rows.size &&
+          g.classes.filter(c => (c.relMask & mask) != 0).forall { c =>
+            val (i, col) = c.members.find(m => (mask & (1L << m._1)) != 0).get
+            t.classNdv(mask, c.origId) == rows.map(row => db(g.rels(i).table).col(col)(row(i))).distinct.size
+          }
+        }
+      }
+      val res = scCheck(Parameters.default.withMinSuccessfulTests(200), prop)
+      assert(res.passed, res.status.toString)
+    }
+  }
+}
+
+object TrueCardinalityToySpec {
+  /** A graph shape: per relation its join columns, and the join classes. */
+  final case class Shape(cols: Vector[Vector[String]], classes: Vector[Vector[(Int, String)]])
 }
 
 /** Spark cross-check on the actual workload: |⋈ full| must equal the SQL

@@ -47,12 +47,6 @@ class QuerySpecSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](JoinClass(Vector((0, "x"))))
   }
 
-  test("JoinClass relMask and touches") {
-    val c = JoinClass(Vector((0, "x"), (2, "y")))
-    assert(c.relMask == 5L)
-    assert(c.touches(0) && !c.touches(1) && c.touches(2))
-  }
-
   private val q = QuerySpec(
     "toy",
     Vector(Relation("a", "ta"), Relation("b", "tb")),
@@ -73,11 +67,6 @@ class QuerySpecSpec extends AnyFunSuite {
     val sql = q.countSql(castBigint = true)
     assert(sql.contains("CAST(a.k AS BIGINT) = CAST(b.k AS BIGINT)"))
     assert(sql.contains("CAST(a.v AS BIGINT) = 7"))
-  }
-
-  test("checksumSql adds one MIN per class") {
-    val sql = q.checksumSql()
-    assert(sql.contains("MIN(a.k) AS min_c0"))
   }
 
   test("multi-member class chains equalities") {
